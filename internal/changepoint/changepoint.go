@@ -118,13 +118,13 @@ func (sc *Scratch) detectSegment(vals []float64, offset int, cfg Config) {
 	if len(vals) < cfg.MinSegment {
 		return
 	}
-	idx, sdiff := cusumPeak(vals)
+	idx, sdiff, sd := cusumPeakStd(vals)
 	if idx <= 0 || idx >= len(vals)-1 {
 		return
 	}
 	var conf float64
 	if cfg.Thresholds > 0 {
-		conf = tableConfidence(vals, sdiff, cfg.Thresholds)
+		conf = tableConfidence(len(vals), sdiff, sd, cfg.Thresholds)
 	} else {
 		conf = bootstrapConfidence(vals, sdiff, cfg, sc.shuffled[:len(vals)])
 	}
@@ -144,19 +144,25 @@ func (sc *Scratch) detectSegment(vals []float64, offset int, cfg Config) {
 	sc.detectSegment(vals[idx:], offset+idx, cfg)
 }
 
-// cusumPeak returns the index of the maximum |CUSUM| and the CUSUM range
-// (max − min), the statistic bootstrapped for significance.
-func cusumPeak(vals []float64) (idx int, sdiff float64) {
+// cusumPeakStd returns the index of the maximum |CUSUM|, the CUSUM range
+// (max − min) — the statistic tested for significance — and the segment's
+// population standard deviation σ̂. It makes one mean pass, then one pass in
+// which each deviation d = v − m feeds both the CUSUM and the sum of
+// squares in the order timeseries.Std accumulates them, so σ̂ is
+// bit-identical to timeseries.Std at half the passes over the segment.
+func cusumPeakStd(vals []float64) (idx int, sdiff, sd float64) {
 	m := timeseries.Mean(vals)
 	var (
-		s        float64
+		s, ss    float64
 		maxS     = math.Inf(-1)
 		minS     = math.Inf(1)
 		maxAbs   float64
 		maxAbsAt int
 	)
 	for i, v := range vals {
-		s += v - m
+		d := v - m
+		s += d
+		ss += d * d
 		if s > maxS {
 			maxS = s
 		}
@@ -168,7 +174,10 @@ func cusumPeak(vals []float64) (idx int, sdiff float64) {
 			maxAbsAt = i + 1 // change occurs after sample i
 		}
 	}
-	return maxAbsAt, maxS - minS
+	if len(vals) > 0 {
+		sd = math.Sqrt(ss / float64(len(vals)))
+	}
+	return maxAbsAt, maxS - minS, sd
 }
 
 // bootstrapConfidence estimates the fraction of random reorderings of vals
@@ -184,7 +193,7 @@ func bootstrapConfidence(vals []float64, observed float64, cfg Config, shuffled 
 		cfg.Rand.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		if _, sd := cusumPeak(shuffled); sd < observed {
+		if _, sd, _ := cusumPeakStd(shuffled); sd < observed {
 			below++
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fchain/internal/timeseries"
 )
 
 func stepSeries(n, at int, before, after, noise float64, seed int64) []float64 {
@@ -262,5 +264,58 @@ func TestDetectDeterministicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// cusumPeak is the unfused CUSUM scan cusumPeakStd replaced: the index of
+// the maximum |CUSUM| and the CUSUM range, without σ̂.
+func cusumPeak(vals []float64) (idx int, sdiff float64) {
+	m := timeseries.Mean(vals)
+	var (
+		s        float64
+		maxS     = math.Inf(-1)
+		minS     = math.Inf(1)
+		maxAbs   float64
+		maxAbsAt int
+	)
+	for i, v := range vals {
+		s += v - m
+		if s > maxS {
+			maxS = s
+		}
+		if s < minS {
+			minS = s
+		}
+		if a := math.Abs(s); a > maxAbs {
+			maxAbs = a
+			maxAbsAt = i + 1
+		}
+	}
+	return maxAbsAt, maxS - minS
+}
+
+// TestCusumPeakStdMatchesUnfused pins the fused segment pass to the two
+// scans it replaced: index, CUSUM range and σ̂ must equal cusumPeak plus
+// timeseries.Std bit for bit, or detection verdicts would drift.
+func TestCusumPeakStdMatchesUnfused(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	inputs := [][]float64{nil, {5}, {1, 1, 1, 1}, {0, 1e300, -1e300, 3}}
+	for n := 2; n < 300; n += 1 + n/4 {
+		inputs = append(inputs, stepSeries(n, n/2, 10, 10+rng.Float64()*20, rng.Float64()*5, int64(n)))
+		ramp := make([]float64, n)
+		for i := range ramp {
+			ramp[i] = float64(i)*0.37 + rng.NormFloat64()
+		}
+		inputs = append(inputs, ramp)
+	}
+	for _, vals := range inputs {
+		idx, sdiff, sd := cusumPeakStd(vals)
+		wantIdx, wantDiff := cusumPeak(vals)
+		wantSd := timeseries.Std(vals)
+		if idx != wantIdx || math.Float64bits(sdiff) != math.Float64bits(wantDiff) ||
+			math.Float64bits(sd) != math.Float64bits(wantSd) {
+			t.Fatalf("n=%d: fused (%d, %v, %v), unfused (%d, %v, %v)",
+				len(vals), idx, sdiff, sd, wantIdx, wantDiff, wantSd)
+		}
 	}
 }

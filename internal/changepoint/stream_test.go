@@ -253,11 +253,11 @@ func TestTableFalsePositiveRate(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.NormFloat64()
 		}
-		idx, sdiff := cusumPeak(vals)
+		idx, sdiff, sd := cusumPeakStd(vals)
 		if idx <= 0 || idx >= len(vals)-1 {
 			continue
 		}
-		if tableConfidence(vals, sdiff, 200) >= 0.95 {
+		if tableConfidence(len(vals), sdiff, sd, 200) >= 0.95 {
 			trips++
 		}
 	}

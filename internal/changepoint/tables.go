@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-
-	"fchain/internal/timeseries"
 )
 
 // Threshold tables: the precomputed alternative to per-query bootstrapping.
@@ -66,8 +64,7 @@ func nullTable(n, k int) []float64 {
 		for i := range vals {
 			vals[i] = rng.NormFloat64()
 		}
-		_, sdiff := cusumPeak(vals)
-		if sd := timeseries.Std(vals); sd > 0 {
+		if _, sdiff, sd := cusumPeakStd(vals); sd > 0 {
 			samples[b] = sdiff / (sd * scale)
 		}
 	}
@@ -78,18 +75,16 @@ func nullTable(n, k int) []float64 {
 
 // tableConfidence is the table-driven counterpart of bootstrapConfidence:
 // the fraction of null samples whose normalized CUSUM range falls below the
-// observed one. Degenerate segments (zero range or zero variance) report
-// zero confidence, matching the bootstrap's observed==0 short-circuit.
-func tableConfidence(vals []float64, sdiff float64, k int) float64 {
-	if sdiff == 0 {
+// observed one, for a segment of n samples with CUSUM range sdiff and
+// population standard deviation sd. Degenerate segments (zero range or zero
+// variance) report zero confidence, matching the bootstrap's observed==0
+// short-circuit.
+func tableConfidence(n int, sdiff, sd float64, k int) float64 {
+	if sdiff == 0 || sd == 0 {
 		return 0
 	}
-	sd := timeseries.Std(vals)
-	if sd == 0 {
-		return 0
-	}
-	x := sdiff / (sd * math.Sqrt(float64(len(vals))))
-	tbl := nullTable(len(vals), k)
+	x := sdiff / (sd * math.Sqrt(float64(n)))
+	tbl := nullTable(n, k)
 	below := sort.SearchFloat64s(tbl, x) // entries strictly below x
 	return float64(below) / float64(len(tbl))
 }

@@ -136,21 +136,40 @@ func Diagnose(reports []ComponentReport, totalComponents int, deps *depgraph.Gra
 		}
 	}
 
-	// Dependency-based filtering of spurious propagation paths.
+	// Dependency-based filtering of spurious propagation paths. A component
+	// has an interaction path from a pinned one exactly when both carry the
+	// same connected-component label (depgraph.HasPath), so the graph is
+	// labelled once, when the first unpinned component needs it, and the
+	// pinned labels are kept as a set: O(V+E) per diagnosis instead of one
+	// graph search per (pinned, unpinned) pair.
 	if deps != nil && !deps.Empty() {
+		var (
+			labels  map[string]int
+			reached map[int]bool
+		)
+		label := func(c string) int {
+			l, ok := labels[c]
+			if !ok {
+				// Absent from the graph: connected to nothing but itself.
+				l = -1 - len(labels)
+				labels[c] = l
+			}
+			return l
+		}
 		for _, r := range chain {
 			if pinned[r.Component] {
 				continue
 			}
-			reachable := false
-			for p := range pinned {
-				if deps.HasPath(p, r.Component) {
-					reachable = true
-					break
+			if labels == nil {
+				labels = deps.Components()
+				reached = make(map[int]bool, len(pinned))
+				for p := range pinned {
+					reached[label(p)] = true
 				}
 			}
-			if !reachable {
+			if l := label(r.Component); !reached[l] {
 				pinned[r.Component] = true
+				reached[l] = true
 				diag.Culprits = append(diag.Culprits, culpritFrom(r, "independent"))
 			}
 		}

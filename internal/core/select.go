@@ -479,15 +479,10 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		contextValueStd = timeseries.Std(cv)
 		if facts.fast {
 			// O(1) from the sorted multiset: same multiset, same
-			// interpolation, same bits as the sort below.
+			// interpolation, same bits as the selection below.
 			ctxP99, ctxP1 = facts.p99, facts.p1
-		} else {
-			if p99, err := timeseries.PercentileScratch(cv, 99, &a.pctile); err == nil {
-				ctxP99 = p99
-			}
-			if p1, err := timeseries.PercentileScratch(cv, 1, &a.pctile); err == nil {
-				ctxP1 = p1
-			}
+		} else if p1, p99, err := timeseries.PercentileBandScratch(cv, 1, 99, &a.pctile); err == nil {
+			ctxP99, ctxP1 = p99, p1
 		}
 	}
 	// Relative-magnitude floor (opt-in, MinRelMagnitude > 0): a mean shift
@@ -519,15 +514,12 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 			if f := cfg.ContextMaxFactor * facts.maxE; f > contextFloor {
 				contextFloor = f
 			}
-		} else {
-			p90, err := timeseries.PercentileScratch(ctx, 90, &a.pctile)
-			if err == nil {
-				contextFloor = cfg.SelfCalibration * p90
-			}
-			if _, hi, err := timeseries.MinMax(ctx); err == nil {
-				if f := cfg.ContextMaxFactor * hi; f > contextFloor {
-					contextFloor = f
-				}
+		} else if p90, hi, err := timeseries.PercentileMaxScratch(ctx, 90, &a.pctile); err == nil {
+			// Prediction errors are finite, so the sort-order maximum is
+			// the one a MinMax scan reports.
+			contextFloor = cfg.SelfCalibration * p90
+			if f := cfg.ContextMaxFactor * hi; f > contextFloor {
+				contextFloor = f
 			}
 		}
 	}

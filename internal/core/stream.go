@@ -7,18 +7,18 @@ import (
 )
 
 // Streaming selection (Config.Streaming): instead of paying the whole
-// selection burst at tv — percentile sorts over ~1.3k context samples and a
-// per-candidate FFT, per metric, per Localize — the shard folds a constant
-// slice of that work into every Observe and the tv-time kernel assembles
-// cached pieces:
+// selection burst at tv — two O(n) order-statistic selections over ~1.3k
+// context samples and a per-candidate FFT, per metric, per Localize — the
+// shard folds a constant slice of that work into every Observe and the
+// tv-time kernel assembles cached pieces:
 //
 //   - sorted context multisets: the values and prediction errors of the ring
 //     positions before the look-back window are kept as incrementally
 //     maintained sorted multisets, so the kernel's context percentiles
-//     (p1/p99 of values, p90/max of errors) are O(1) lookups instead of
-//     O(n log n) sorts. Percentile interpolation over a sorted multiset is
-//     arithmetic-identical to the batch sort-then-interpolate, so the fast
-//     path changes no output bit;
+//     (p1/p99 of values, p90/max of errors) are O(1) lookups instead of a
+//     copy plus an O(n) selection each. Percentile interpolation over a
+//     sorted multiset is arithmetic-identical to the batch
+//     select-then-interpolate, so the fast path changes no output bit;
 //   - an FFT memo: ExpectedError keyed by the burst window's absolute
 //     position and the spectral knobs. Ring content for retained positions
 //     is immutable, so a hit replays the exact float the batch path would

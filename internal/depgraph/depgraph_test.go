@@ -319,3 +319,76 @@ func TestFlowConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// searchPath is the reference interaction-path search: a plain graph walk
+// over the exported edge view, following successors and predecessors.
+func searchPath(g *Graph, from, to string) bool {
+	if from == to {
+		return true
+	}
+	nodes := g.Nodes()
+	seen := map[string]bool{from: true}
+	stack := []string{from}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, n := range nodes {
+			if !seen[n] && (g.HasEdge(cur, n) || g.HasEdge(n, cur)) {
+				if n == to {
+					return true
+				}
+				seen[n] = true
+				stack = append(stack, n)
+			}
+		}
+	}
+	return false
+}
+
+// TestDiagnoseDepsComponentsMatchPathSearch pins the connected-component
+// labelling that Diagnose's dependency filter and HasPath rest on to the
+// reference walk, on random graphs with several disconnected parts,
+// isolated nodes and names the graph has never seen.
+func TestDiagnoseDepsComponentsMatchPathSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 150; trial++ {
+		g := NewGraph()
+		n := 2 + rng.Intn(30)
+		names := make([]string, n+3)
+		for i := range names {
+			names[i] = string(rune('A'+i%26)) + string(rune('a'+i/26))
+		}
+		graphed := names[:n] // the last three stay unknown to the graph
+		for i := rng.Intn(2 * n); i > 0; i-- {
+			// Edges stay within one of three parts, so most graphs are
+			// disconnected.
+			part := rng.Intn(3)
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a%3 == part && b%3 == part {
+				g.AddEdge(graphed[a], graphed[b], rng.Float64())
+			}
+		}
+		for _, x := range graphed {
+			if rng.Intn(4) == 0 {
+				g.AddNode(x) // isolated unless an edge already touches it
+			}
+		}
+		labels := g.Components()
+		if len(labels) != len(g.Nodes()) {
+			t.Fatalf("trial %d: %d labels for %d nodes", trial, len(labels), len(g.Nodes()))
+		}
+		for _, a := range names {
+			for _, b := range names {
+				want := searchPath(g, a, b)
+				if got := g.HasPath(a, b); got != want {
+					t.Fatalf("trial %d: HasPath(%s,%s) = %v, search %v (%s)", trial, a, b, got, want, g)
+				}
+				la, okA := labels[a]
+				lb, okB := labels[b]
+				if a != b && (okA && okB && la == lb) != want {
+					t.Fatalf("trial %d: labels %s=%d %s=%d disagree with search %v", trial, a, la, b, lb, want)
+				}
+			}
+		}
+	}
+}

@@ -109,39 +109,47 @@ func (g *Graph) Successors(n string) []string {
 // uses paths to decide whether an anomaly *could* have propagated between
 // two components: propagation travels downstream via requests and upstream
 // via back-pressure, so any chain of interaction edges suffices
-// (paper §II-C).
+// (paper §II-C). A node is always reachable from itself, even when the
+// graph does not know it.
 func (g *Graph) HasPath(from, to string) bool {
 	if from == to {
 		return true
 	}
-	seen := map[string]bool{from: true}
-	stack := []string{from}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for next := range g.edges[cur] {
-			if next == to {
-				return true
-			}
-			if !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
-			}
+	labels := g.Components()
+	a, okA := labels[from]
+	b, okB := labels[to]
+	return okA && okB && a == b
+}
+
+// Components labels the connected components of the interaction graph
+// (edges taken in either direction): two nodes share a label exactly when
+// HasPath connects them. Labels are arbitrary non-negative integers below
+// the node count. It costs O(V+E), so a caller testing many pairs labels
+// once instead of calling HasPath per pair.
+func (g *Graph) Components() map[string]int {
+	labels := make(map[string]int, len(g.nodes))
+	parent := make([]int, 0, len(g.nodes))
+	for n := range g.nodes {
+		labels[n] = len(parent)
+		parent = append(parent, len(parent))
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]] // path halving
+			x = parent[x]
 		}
-		// Interaction is bidirectional for propagation purposes.
-		for src, m := range g.edges {
-			if _, ok := m[cur]; ok {
-				if src == to {
-					return true
-				}
-				if !seen[src] {
-					seen[src] = true
-					stack = append(stack, src)
-				}
-			}
+		return x
+	}
+	for from, m := range g.edges {
+		for to := range m {
+			a, b := find(labels[from]), find(labels[to])
+			parent[b] = a
 		}
 	}
-	return false
+	for n, x := range labels {
+		labels[n] = find(x)
+	}
+	return labels
 }
 
 // HasDirectedPath reports whether to is reachable from from following edge

@@ -77,16 +77,7 @@ func (r *Ring) Last() (t int64, v float64, ok bool) {
 // starting at the oldest retained timestamp. Gaps in timestamps are not
 // reconstructed; the ingest sanitizer keeps retained samples contiguous
 // (short gaps filled, long gaps severed by Clear).
-func (r *Ring) Series() *Series {
-	if r.size == 0 {
-		return &Series{}
-	}
-	vals := make([]float64, r.size)
-	for i := 0; i < r.size; i++ {
-		vals[i] = r.vals[(r.head+i)%len(r.vals)]
-	}
-	return &Series{start: r.times[r.head], vals: vals}
-}
+func (r *Ring) Series() *Series { return r.SeriesInto(&Series{}) }
 
 // SeriesInto materializes the retained samples like Series but reuses dst's
 // backing storage, growing it only when the ring holds more samples than
@@ -106,11 +97,16 @@ func (r *Ring) SeriesInto(dst *Series) *Series {
 		dst.vals = make([]float64, r.size)
 	}
 	dst.vals = dst.vals[:r.size]
-	for i := 0; i < r.size; i++ {
-		dst.vals[i] = r.vals[(r.head+i)%len(r.vals)]
-	}
+	unroll(dst.vals, r.vals, r.head)
 	dst.start = r.times[r.head]
 	return dst
+}
+
+// unroll copies len(dst) ring slots starting at head into dst, oldest
+// first: the run up to the end of the backing array, then the wrapped rest.
+func unroll[T any](dst, ring []T, head int) {
+	n := copy(dst, ring[head:])
+	copy(dst[n:], ring)
 }
 
 // WindowBefore returns up to w samples with timestamps in (end-w, end],
@@ -146,11 +142,8 @@ func (r *Ring) Snapshot() RingSnapshot {
 	}
 	s.Times = make([]int64, r.size)
 	s.Vals = make([]float64, r.size)
-	for i := 0; i < r.size; i++ {
-		idx := (r.head + i) % len(r.vals)
-		s.Times[i] = r.times[idx]
-		s.Vals[i] = r.vals[idx]
-	}
+	unroll(s.Times, r.times, r.head)
+	unroll(s.Vals, r.vals, r.head)
 	return s
 }
 

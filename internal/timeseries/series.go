@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by statistics that are undefined on empty series.
@@ -204,31 +203,18 @@ func Percentile(vals []float64, p float64) (float64, error) {
 	return PercentileScratch(vals, p, &scratch)
 }
 
-// PercentileScratch is Percentile with a caller-owned sort buffer: vals is
-// copied into *scratch (grown as needed and written back), so a reused
-// scratch makes repeated percentile queries allocation-free. The input is
-// never mutated.
+// PercentileScratch is Percentile with a caller-owned selection buffer:
+// vals is copied into *scratch (grown as needed and written back), so a
+// reused scratch makes repeated percentile queries allocation-free. The
+// input is never mutated. The two order statistics it interpolates come
+// from an O(n) selection (order.go), bit-identical to sorting the copy and
+// indexing it.
 func PercentileScratch(vals []float64, p float64, scratch *[]float64) (float64, error) {
 	if len(vals) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := append((*scratch)[:0], vals...)
-	*scratch = sorted
-	sort.Float64s(sorted)
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	lo, frac := percentileRank(p, len(vals))
+	return loadSelection(vals, scratch).percentile(lo, frac), nil
 }
 
 // MinMax returns the smallest and largest values. It returns ErrEmpty for

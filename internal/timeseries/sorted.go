@@ -4,18 +4,21 @@ import "sort"
 
 // SortedWindow is an incrementally maintained multiset of float64 samples
 // kept in ascending order. It exists for streaming selection: the context
-// percentiles that batch analysis obtains by sorting a fresh copy of the
-// look-back context on every query are instead maintained sample-by-sample
-// on the ingest path, so a query only interpolates into an already-sorted
-// slice.
+// percentiles that batch analysis obtains by copying the look-back context
+// and selecting order statistics on every query are instead maintained
+// sample-by-sample on the ingest path, so a query only interpolates into an
+// already-sorted slice.
 //
 // The bit-equality contract with the batch path is structural: a sorted
-// sequence is fully determined by the multiset of values it holds, so as
-// long as Insert/Remove mirror exactly the samples entering and leaving the
-// context region, Percentile returns the same bits PercentileScratch would
-// have produced from scratch. Inserting into a dense slice costs a binary
-// search plus a memmove — a few hundred nanoseconds at the window sizes
-// FChain retains (~1.4k samples), far below one per-query sort.
+// sequence is fully determined by the multiset of values it holds, and so is
+// every order statistic, so as long as Insert/Remove mirror exactly the
+// samples entering and leaving the context region, Percentile returns the
+// same bits PercentileScratch would have produced from scratch. Inserting
+// into a dense slice costs a binary search plus a memmove — a few hundred
+// nanoseconds at the window sizes FChain retains (~1.4k samples). That is
+// paid on every Observe, against one O(n) copy-and-select (a few
+// microseconds at ~1k samples) per metric per query in batch mode, so the
+// multiset only wins when queries are frequent relative to samples.
 //
 // The zero value is ready to use. Not safe for concurrent use; callers
 // guard it with the owning shard's lock. Values must not be NaN (both the
@@ -85,15 +88,7 @@ func SortedPercentile(sorted []float64, p float64) (float64, error) {
 	if len(sorted) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
+	lo, frac := percentileRank(p, len(sorted))
 	if frac == 0 {
 		return sorted[lo], nil
 	}
