@@ -149,6 +149,7 @@ func TestCLIGoldenMasterConsole(t *testing.T) {
 		t.Fatal(err)
 	}
 	var slaves []*exec.Cmd
+	var slaveOuts []string
 	for _, comp := range []string{"web", "app1", "app2", "db"} {
 		var lines []string
 		for _, line := range strings.Split(string(data), "\n") {
@@ -157,14 +158,24 @@ func TestCLIGoldenMasterConsole(t *testing.T) {
 			}
 		}
 		// -parallel 1 keeps the slaves' analysis serial so nothing about
-		// the machine's core count can leak into the golden output.
+		// the machine's core count can leak into the golden output. Stdout
+		// goes to a file so the feed barrier below can read it without
+		// racing the running process.
 		slave := exec.Command(slaveBin, "-name", "host-"+comp, "-components", comp, "-master", addr,
 			"-parallel", "1")
 		slave.Stdin = strings.NewReader(strings.Join(lines, "\n"))
+		outPath := filepath.Join(dir, "slave-"+comp+".stdout")
+		outFile, err := os.Create(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slave.Stdout = outFile
 		if err := slave.Start(); err != nil {
 			t.Fatal(err)
 		}
+		outFile.Close()
 		slaves = append(slaves, slave)
+		slaveOuts = append(slaveOuts, outPath)
 	}
 	defer func() {
 		for _, s := range slaves {
@@ -183,6 +194,21 @@ func TestCLIGoldenMasterConsole(t *testing.T) {
 	}
 	if registered < 4 {
 		t.Fatalf("only %d slaves registered", registered)
+	}
+	// A slave registers before it reads its stdin capture, and the verdict
+	// depends on how much of the capture has been ingested, so localize
+	// only once every slave has announced that its feed drained.
+	for _, outPath := range slaveOuts {
+		drained := false
+		for !drained && time.Now().Before(deadline) {
+			raw, _ := os.ReadFile(outPath)
+			if drained = strings.Contains(string(raw), "sample feed drained"); !drained {
+				time.Sleep(50 * time.Millisecond)
+			}
+		}
+		if !drained {
+			t.Fatalf("slave feed %s never drained", filepath.Base(outPath))
+		}
 	}
 
 	health := consoleBlock(t, masterIn, reader, "health", "sync-health")

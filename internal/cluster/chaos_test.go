@@ -354,6 +354,10 @@ func TestBreakerSkipsRepeatedlyFailingSlave(t *testing.T) {
 	if _, err := master.Localize(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
+	// The failure is recorded by mute's fan-out goroutine, which times out
+	// at the same deadline Localize gives up at and may finish just after
+	// Localize has returned; wait for the trip before timing the next call.
+	waitFor(t, 2*time.Second, func() bool { return master.Health()["mute"].BreakerOpen }, "breaker trip")
 	// Second call: the open breaker skips mute outright.
 	start := time.Now()
 	res, err := master.Localize(context.Background(), 100)
