@@ -13,6 +13,7 @@ package fchain_test
 // measurements on the real pipeline primitives.
 
 import (
+	"math/rand"
 	"testing"
 
 	"fchain"
@@ -175,6 +176,41 @@ func BenchmarkModuleSelectionStreaming(b *testing.B) {
 			}
 		}
 		reports = loc.AnalyzeInto(reports, ts)
+	}
+}
+
+// BenchmarkModuleSelectionNoisy measures batch selection on a signal with
+// real change points, the case the periodic BenchmarkModuleSelection input
+// hides: 40 + Gaussian noise (σ = 4), a +15 level shift 300 s before the
+// analysis, and a +12 burst for 8 s every 120 s, on a full ring at
+// MeshConfig with a 500 s look-back. Every metric carries the same signal,
+// so each iteration runs detection, the FFT filter and the context
+// statistics on all of them.
+func BenchmarkModuleSelectionNoisy(b *testing.B) {
+	cfg := fchain.MeshConfig()
+	cfg.LookBack = 500
+	loc := fchain.NewLocalizer(cfg, []string{"c"})
+	kinds := fchain.Kinds()
+	rng := rand.New(rand.NewSource(1))
+	const tv = 1999
+	for t := int64(0); t <= tv; t++ {
+		v := 40 + 4*rng.NormFloat64()
+		if t >= tv-300 {
+			v += 15
+		}
+		if t%120 < 8 {
+			v += 12
+		}
+		for _, k := range kinds {
+			if err := loc.Observe("c", t, k, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var reports []fchain.ComponentReport
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reports = loc.AnalyzeInto(reports, tv)
 	}
 }
 

@@ -15,6 +15,7 @@ package changepoint
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"fchain/internal/timeseries"
 )
@@ -97,11 +98,15 @@ func Detect(vals []float64, cfg Config) []Point {
 // Detect call.
 func (sc *Scratch) Detect(vals []float64, cfg Config) []Point {
 	cfg = cfg.withDefaults()
-	if cfg.Thresholds <= 0 && cap(sc.shuffled) < len(vals) {
+	sc.points = sc.points[:0]
+	seg := segmenter{sc: sc, cfg: cfg}
+	if cfg.Thresholds > 0 {
+		seg.tables = tablesFor(cfg.Thresholds)
+		seg.crit = criticalCount(cfg.Thresholds, cfg.Confidence)
+	} else if cap(sc.shuffled) < len(vals) {
 		sc.shuffled = make([]float64, len(vals))
 	}
-	sc.points = sc.points[:0]
-	sc.detectSegment(vals, 0, cfg)
+	seg.split(vals, timeseries.Mean(vals), 0)
 	out := sc.points
 	// Insertion sort: point counts are small, indices are unique (segments
 	// are disjoint), and sort.Slice would box its argument — the only
@@ -114,52 +119,87 @@ func (sc *Scratch) Detect(vals []float64, cfg Config) []Point {
 	return out
 }
 
-func (sc *Scratch) detectSegment(vals []float64, offset int, cfg Config) {
-	if len(vals) < cfg.MinSegment {
+// segmenter is one Detect call's recursive segmentation. In table mode it
+// holds the resample count's table set and the critical count b (see
+// criticalCount): a segment is significant exactly when at least b null
+// samples lie below its statistic, so one comparison against the table's
+// b-th entry replaces the binary search for every rejected segment.
+type segmenter struct {
+	sc     *Scratch
+	cfg    Config
+	tables *tableSet // nil in bootstrap mode
+	crit   int
+}
+
+// split tests one segment whose mean the caller already holds (the whole
+// window's, or the parent point's Before/After, summed in the same order)
+// and, when its change point is significant, records it and recurses into
+// both sides.
+func (g *segmenter) split(vals []float64, mean float64, offset int) {
+	if len(vals) < g.cfg.MinSegment {
 		return
 	}
-	idx, sdiff, sd := cusumPeakStd(vals)
+	idx, sdiff, sd, head := cusumScan(vals, mean)
 	if idx <= 0 || idx >= len(vals)-1 {
 		return
 	}
 	var conf float64
-	if cfg.Thresholds > 0 {
-		conf = tableConfidence(len(vals), sdiff, sd, cfg.Thresholds)
+	if g.tables != nil {
+		if sdiff == 0 || sd == 0 {
+			return
+		}
+		x := normalizedRange(len(vals), sdiff, sd)
+		tbl := g.tables.table(len(vals))
+		// At least crit entries lie strictly below x exactly when the
+		// crit-th smallest does (a NaN x ranks above every entry, as in
+		// the binary search).
+		if tbl[g.crit-1] >= x {
+			return
+		}
+		conf = float64(sort.SearchFloat64s(tbl, x)) / float64(len(tbl))
 	} else {
-		conf = bootstrapConfidence(vals, sdiff, cfg, sc.shuffled[:len(vals)])
+		conf = bootstrapConfidence(vals, sdiff, g.cfg, g.sc.shuffled[:len(vals)])
+		if conf < g.cfg.Confidence {
+			return
+		}
 	}
-	if conf < cfg.Confidence {
-		return
-	}
-	before := timeseries.Mean(vals[:idx])
+	before := head / float64(idx)
 	after := timeseries.Mean(vals[idx:])
-	sc.points = append(sc.points, Point{
+	g.sc.points = append(g.sc.points, Point{
 		Index:      offset + idx,
 		Confidence: conf,
 		Magnitude:  math.Abs(after - before),
 		Before:     before,
 		After:      after,
 	})
-	sc.detectSegment(vals[:idx], offset, cfg)
-	sc.detectSegment(vals[idx:], offset+idx, cfg)
+	g.split(vals[:idx], before, offset)
+	g.split(vals[idx:], after, offset+idx)
 }
 
 // cusumPeakStd returns the index of the maximum |CUSUM|, the CUSUM range
 // (max − min) — the statistic tested for significance — and the segment's
-// population standard deviation σ̂. It makes one mean pass, then one pass in
-// which each deviation d = v − m feeds both the CUSUM and the sum of
-// squares in the order timeseries.Std accumulates them, so σ̂ is
-// bit-identical to timeseries.Std at half the passes over the segment.
+// population standard deviation σ̂, bit-identical to timeseries.Std.
 func cusumPeakStd(vals []float64) (idx int, sdiff, sd float64) {
-	m := timeseries.Mean(vals)
+	idx, sdiff, sd, _ = cusumScan(vals, timeseries.Mean(vals))
+	return idx, sdiff, sd
+}
+
+// cusumScan is cusumPeakStd for a segment whose mean m is known. In one
+// pass each deviation d = v − m feeds both the CUSUM and the sum of squares
+// in the order timeseries.Std accumulates them, and a running raw sum is
+// recorded at the peak: head is the sum of vals[:idx] in the order
+// timeseries.Mean adds it, so head/idx is the mean before the point, bit
+// for bit.
+func cusumScan(vals []float64, m float64) (idx int, sdiff, sd, head float64) {
 	var (
-		s, ss    float64
-		maxS     = math.Inf(-1)
-		minS     = math.Inf(1)
-		maxAbs   float64
-		maxAbsAt int
+		s, ss, raw float64
+		maxS       = math.Inf(-1)
+		minS       = math.Inf(1)
+		maxAbs     float64
+		maxAbsAt   int
 	)
 	for i, v := range vals {
+		raw += v
 		d := v - m
 		s += d
 		ss += d * d
@@ -172,12 +212,13 @@ func cusumPeakStd(vals []float64) (idx int, sdiff, sd float64) {
 		if a := math.Abs(s); a > maxAbs {
 			maxAbs = a
 			maxAbsAt = i + 1 // change occurs after sample i
+			head = raw
 		}
 	}
 	if len(vals) > 0 {
 		sd = math.Sqrt(ss / float64(len(vals)))
 	}
-	return maxAbsAt, maxS - minS, sd
+	return maxAbsAt, maxS - minS, sd, head
 }
 
 // bootstrapConfidence estimates the fraction of random reorderings of vals

@@ -3,6 +3,7 @@ package changepoint
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -316,6 +317,143 @@ func TestCusumPeakStdMatchesUnfused(t *testing.T) {
 			math.Float64bits(sd) != math.Float64bits(wantSd) {
 			t.Fatalf("n=%d: fused (%d, %v, %v), unfused (%d, %v, %v)",
 				len(vals), idx, sdiff, sd, wantIdx, wantDiff, wantSd)
+		}
+	}
+}
+
+// detectReference is the recursive detector Detect replaced: every segment
+// recomputes its mean, the peak scan and σ̂, and table confidence comes from
+// a binary search before it is compared with cfg.Confidence. Detect must
+// reproduce it bit for bit.
+func detectReference(vals []float64, cfg Config) []Point {
+	cfg = cfg.withDefaults()
+	var out []Point
+	var seg func(vals []float64, offset int)
+	seg = func(vals []float64, offset int) {
+		if len(vals) < cfg.MinSegment {
+			return
+		}
+		idx, sdiff, sd := cusumPeakStd(vals)
+		if idx <= 0 || idx >= len(vals)-1 {
+			return
+		}
+		var conf float64
+		if cfg.Thresholds > 0 {
+			conf = tableConfidence(len(vals), sdiff, sd, cfg.Thresholds)
+		} else {
+			conf = bootstrapConfidence(vals, sdiff, cfg, make([]float64, len(vals)))
+		}
+		if conf < cfg.Confidence {
+			return
+		}
+		before := timeseries.Mean(vals[:idx])
+		after := timeseries.Mean(vals[idx:])
+		out = append(out, Point{
+			Index:      offset + idx,
+			Confidence: conf,
+			Magnitude:  math.Abs(after - before),
+			Before:     before,
+			After:      after,
+		})
+		seg(vals[:idx], offset)
+		seg(vals[idx:], offset+idx)
+	}
+	seg(vals, 0)
+	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	return out
+}
+
+// samePoints reports whether two detections agree on every Point field,
+// bit for bit.
+func samePoints(a, b []Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Index != b[i].Index ||
+			math.Float64bits(a[i].Confidence) != math.Float64bits(b[i].Confidence) ||
+			math.Float64bits(a[i].Magnitude) != math.Float64bits(b[i].Magnitude) ||
+			math.Float64bits(a[i].Before) != math.Float64bits(b[i].Before) ||
+			math.Float64bits(a[i].After) != math.Float64bits(b[i].After) {
+			return false
+		}
+	}
+	return true
+}
+
+// oracleWindows returns seeded windows of the shapes selection meets:
+// Gaussian noise, integer-quantized counters, constant runs, steps and
+// ramps.
+func oracleWindows(rng *rand.Rand, n int) map[string][]float64 {
+	gauss := make([]float64, n)
+	quant := make([]float64, n)
+	runs := make([]float64, n)
+	ramp := make([]float64, n)
+	level := 7.0
+	for i := range gauss {
+		gauss[i] = 40 + 4*rng.NormFloat64()
+		quant[i] = math.Round(20 + 3*rng.NormFloat64())
+		if rng.Intn(25) == 0 {
+			level = float64(rng.Intn(5))
+		}
+		runs[i] = level
+		ramp[i] = 0.05*float64(i) + rng.NormFloat64()
+	}
+	return map[string][]float64{
+		"gauss": gauss,
+		"quant": quant,
+		"runs":  runs,
+		"step":  stepSeries(n, n*2/3, 10, 10+rng.Float64()*10, 1+rng.Float64()*3, rng.Int63()),
+		"ramp":  ramp,
+	}
+}
+
+// TestDetectMatchesReference pins the lean recursion (inherited segment
+// means, the running prefix sum, the critical-entry test and the flat table
+// slots) to the per-segment recomputation it replaced.
+func TestDetectMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var sc Scratch
+	for _, n := range []int{5, 6, 9, 17, 40, 121, 260, 520, 1200} {
+		for shape, vals := range oracleWindows(rng, n) {
+			for _, k := range []int{50, 200} {
+				for _, conf := range []float64{0.9, 0.95, 0.99} {
+					cfg := Config{Thresholds: k, Confidence: conf}
+					got := sc.Detect(vals, cfg)
+					want := detectReference(vals, cfg)
+					if !samePoints(got, want) {
+						t.Fatalf("%s n=%d k=%d conf=%v:\n got %+v\nwant %+v", shape, n, k, conf, got, want)
+					}
+				}
+			}
+			if n <= 121 {
+				cfg := Config{Bootstraps: 50, Rand: rand.New(rand.NewSource(3))}
+				got := Detect(vals, cfg)
+				cfg.Rand = rand.New(rand.NewSource(3))
+				if want := detectReference(vals, cfg); !samePoints(got, want) {
+					t.Fatalf("bootstrap %s n=%d:\n got %+v\nwant %+v", shape, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCriticalCountMatchesRatio: b is the smallest count whose ratio b/k,
+// computed as the confidence is, reaches conf.
+func TestCriticalCountMatchesRatio(t *testing.T) {
+	for _, k := range []int{1, 3, 25, 50, 199, 200, 1000} {
+		for _, conf := range []float64{1e-9, 0.01, 0.5, 0.9, 0.95, 0.99, 0.995, 1 - 1e-16, 1} {
+			b := criticalCount(k, conf)
+			want := k
+			for c := 1; c <= k; c++ {
+				if float64(c)/float64(k) >= conf {
+					want = c
+					break
+				}
+			}
+			if b != want {
+				t.Errorf("criticalCount(%d, %v) = %d, want %d", k, conf, b, want)
+			}
 		}
 	}
 }

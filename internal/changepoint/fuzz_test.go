@@ -152,3 +152,34 @@ func FuzzStream(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDetectMatchesReference holds table-mode Detect to the per-segment
+// recomputation it replaced (detectReference) on arbitrary bit patterns,
+// NaN and Inf included: every Point field must agree bit for bit.
+func FuzzDetectMatchesReference(f *testing.F) {
+	var buf [8]byte
+	step := make([]byte, 0, 80*8)
+	for i := 0; i < 80; i++ {
+		v := 10 + float64(i%3)
+		if i >= 50 {
+			v = 30 + float64(i%5)
+		}
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		step = append(step, buf[:]...)
+	}
+	f.Add(step, uint8(1), uint8(1))
+	f.Add(step[:40*8], uint8(0), uint8(2))
+	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(math.Inf(1)))
+	f.Add(append(append([]byte{}, step[:64]...), buf[:]...), uint8(2), uint8(0))
+
+	ks := []int{25, 50, 200}
+	confs := []float64{0.9, 0.95, 0.99}
+	f.Fuzz(func(t *testing.T, data []byte, ki, ci uint8) {
+		vals := fuzzSeries(data, 256)
+		cfg := Config{Thresholds: ks[int(ki)%len(ks)], Confidence: confs[int(ci)%len(confs)]}
+		got := Detect(vals, cfg)
+		if want := detectReference(vals, cfg); !samePoints(got, want) {
+			t.Fatalf("k=%d conf=%v n=%d:\n got %+v\nwant %+v", cfg.Thresholds, cfg.Confidence, len(vals), got, want)
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // shadowStream replays Stream's exact arithmetic from plain slices, so the
@@ -263,5 +264,43 @@ func TestTableFalsePositiveRate(t *testing.T) {
 	}
 	if trips > trials*15/100 {
 		t.Fatalf("table test tripped on %d/%d white-noise windows", trips, trials)
+	}
+}
+
+// TestWarmTablesMatchesLazyBuild: the background warm-up fills every slot
+// up to maxN with exactly the table a detection would build on first use,
+// queues each (maxN, k) once, and its goroutine exits when done.
+func TestWarmTablesMatchesLazyBuild(t *testing.T) {
+	const maxN, k = 60, 37 // a k no other test uses
+	WarmTables(maxN, k)
+	WarmTables(maxN, k)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		tablesMu.Lock()
+		running, queued := warmRunning, len(warmQueue)
+		tablesMu.Unlock()
+		if !running && queued == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("warm-up did not finish")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	slots := tablesFor(k).slots.Load()
+	if slots == nil || len(*slots) <= maxN {
+		t.Fatalf("slot array too short after warm-up")
+	}
+	for n := 3; n <= maxN; n++ {
+		got := (*slots)[n].Load()
+		if got == nil {
+			t.Fatalf("n=%d not warmed", n)
+		}
+		want := buildNullTable(n, k)
+		for i := range want {
+			if math.Float64bits((*got)[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d entry %d: warmed %v, built %v", n, i, (*got)[i], want[i])
+			}
+		}
 	}
 }

@@ -560,3 +560,38 @@ func TestReplicationMetricsJournalReconcile(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicationFromNonPrimaryLeavesWarmGate: a replication frame from a
+// slave that is not the component's primary under the current placement (a
+// donor that has not applied its cutover yet) carries another primary's
+// sequence numbers. It must be NAKed without touching the sent/acked
+// bookkeeping, or the caught-up primary's warm gate stays shut until its
+// own sequence overtakes the stray one.
+func TestReplicationFromNonPrimaryLeavesWarmGate(t *testing.T) {
+	master := NewMaster(core.Config{}, nil, WithSharding(0), WithAutoRebalance(false), WithStandby(true))
+	if err := master.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { master.Close() })
+	slaves := startShardedSlaves(t, master, 2, WithReplication(20*time.Millisecond), WithReconnect(false))
+	master.RegisterComponents("x")
+	if _, err := master.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	owner, _ := master.Owner("x")
+	for ts := int64(1); ts <= 20; ts++ {
+		if err := slaves[owner].Observe("x", ts, metric.CPU, float64(ts%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitReplicated(t, master, slaves, []string{"x"})
+
+	st, _ := master.Standby("x")
+	master.mu.Lock()
+	stray := master.slaves[st]
+	master.mu.Unlock()
+	master.relayReplicate(stray, &envelope{Type: typeReplicate, ID: 1, Slave: st, Component: "x", Seq: 1000})
+	if !master.StandbyCaughtUp("x") {
+		t.Fatal("a frame from the standby, not the primary, shut the warm gate")
+	}
+}

@@ -64,12 +64,15 @@ type Master struct {
 	// track the per-component sequence numbers relayed and acked — a
 	// component is warm-promotable only while the two match — and replTickAt
 	// records each slave's last clean replication tick, bounding how stale
-	// its standbys can be (replMaxLag; 0 = no bound). replMu is never held
-	// together with mu.
+	// its standbys can be (replMaxLag; 0 = no bound). replOwner is the
+	// primary each standby was placed for: frames from any other slave
+	// carry another primary's sequence numbers and never touch the
+	// bookkeeping. replMu is never held together with mu.
 	standbyOn  bool
 	replMaxLag time.Duration
 	replMu     sync.Mutex
 	standbyOf  map[string]string
+	replOwner  map[string]string
 	replSent   map[string]uint64
 	replAcked  map[string]uint64
 	replTickAt map[string]time.Time
@@ -407,6 +410,7 @@ func NewMaster(cfg core.Config, deps *depgraph.Graph, opts ...MasterOption) *Mas
 		stop:    make(chan struct{}),
 
 		standbyOf:  make(map[string]string),
+		replOwner:  make(map[string]string),
 		replSent:   make(map[string]uint64),
 		replAcked:  make(map[string]uint64),
 		replTickAt: make(map[string]time.Time),
@@ -668,7 +672,8 @@ func (m *Master) relayReplicate(primary *slaveConn, env *envelope) {
 	}
 	comp := env.Component
 	m.replMu.Lock()
-	if env.Seq > m.replSent[comp] {
+	current := !m.standbyOn || m.replOwner[comp] == primary.name
+	if current && env.Seq > m.replSent[comp] {
 		m.replSent[comp] = env.Seq
 	}
 	st := m.standbyOf[comp]
@@ -677,6 +682,14 @@ func (m *Master) relayReplicate(primary *slaveConn, env *envelope) {
 		// Replication without standby placement configured: ack so the
 		// primary does not resend forever; nothing will ever consume these.
 		_ = primary.w.write(&envelope{Type: typeAck, ID: env.ID, Component: comp, Seq: env.Seq}, 5*time.Second)
+		return
+	}
+	if !current {
+		// A donor that has not yet applied its cutover, or a new owner
+		// shipping before it: NAK, so a slave that does own comp after the
+		// cutover re-ships it in full.
+		_ = primary.w.write(&envelope{Type: typeError, ID: env.ID, Component: comp, Code: codeReplFull,
+			Err: fmt.Sprintf("cluster: %s is not the primary of %q", primary.name, comp)}, 5*time.Second)
 		return
 	}
 	var stConn *slaveConn
@@ -704,7 +717,9 @@ func (m *Master) relayReplicate(primary *slaveConn, env *envelope) {
 		return
 	}
 	m.replMu.Lock()
-	if env.Seq > m.replAcked[comp] {
+	// An ack that lands after a rebalance moved comp's primary or standby
+	// belongs to the old placement, which the cutover's reset forgot.
+	if m.replOwner[comp] == primary.name && m.standbyOf[comp] == st && env.Seq > m.replAcked[comp] {
 		m.replAcked[comp] = env.Seq
 	}
 	m.replMu.Unlock()

@@ -157,13 +157,13 @@ type subAnswer struct {
 
 // Error frame classification codes.
 const (
-	codeOverloaded    = "overloaded"
-	codePanic         = "panic"
+	codeOverloaded = "overloaded"
+	codePanic      = "panic"
 	// codeReplFull asks the replication primary for a full-snapshot resend:
 	// the standby's shadow is missing (or its Base precondition failed), or
 	// the relay could not reach it coherently. The primary reacts by
 	// forgetting its shipped floors for the component.
-	codeReplFull = "repl_full"
+	codeReplFull      = "repl_full"
 	codeUnknownTenant = "unknown_tenant"
 	codeQuota         = "quota"
 	codeDraining      = "draining"

@@ -309,6 +309,10 @@ func (m *Master) rebalanceOnce() (int, error) {
 			}
 		}
 		m.standbyOf = newStandby
+		m.replOwner = make(map[string]string, len(newStandby))
+		for comp := range newStandby {
+			m.replOwner[comp] = want[comp]
+		}
 		m.replMu.Unlock()
 	}
 	m.mu.Lock()

@@ -142,9 +142,9 @@ type Slave struct {
 	// from the checkpoint dir (the primary owns that file), and promoted to
 	// live monitors in place when an assign push hands the component over.
 	shadows map[string]*core.Monitor
-	ups      []*upstream // every Connect call adds one managed upstream
-	closed   bool
-	wg       sync.WaitGroup
+	ups     []*upstream // every Connect call adds one managed upstream
+	closed  bool
+	wg      sync.WaitGroup
 
 	pingMu      sync.Mutex
 	pingCounter uint64

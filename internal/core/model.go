@@ -133,6 +133,7 @@ func NewMonitor(component string, cfg Config) *Monitor {
 			sh.stream = newStreamState(cfg)
 		}
 	}
+	warmTables(cfg)
 	return m
 }
 

@@ -467,23 +467,17 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 
 	// Self-calibration: all retained history before the look-back window
 	// characterizes how predictable this metric was before the anomaly
-	// manifested. A metric whose model already erred badly (inherently
-	// hard to predict, or subject to recurring workload bursts) gets a
-	// proportionally higher selection bar: an error within the ceiling the
-	// model has already exhibited corresponds to fluctuation seen before.
-	var contextFloor, contextValueStd float64
-	ctxP99 := math.Inf(1)
-	ctxP1 := math.Inf(-1)
+	// manifested (see calibration). Only the relative-magnitude floor is
+	// read by every candidate; the rest is computed on first use.
 	cvSeries := sv.ViewRange(sv.Start(), lookbackStart)
-	if cv := cvSeries.ValuesView(); len(cv) >= 8 {
-		contextValueStd = timeseries.Std(cv)
-		if facts.fast {
-			// O(1) from the sorted multiset: same multiset, same
-			// interpolation, same bits as the selection below.
-			ctxP99, ctxP1 = facts.p99, facts.p1
-		} else if p1, p99, err := timeseries.PercentileBandScratch(cv, 1, 99, &a.pctile); err == nil {
-			ctxP99, ctxP1 = p99, p1
-		}
+	ctxSeries := se.ViewRange(se.Start(), lookbackStart)
+	cal := calibration{
+		cv:       cvSeries.ValuesView(),
+		errs:     ctxSeries.ValuesView(),
+		smoothed: smoothed,
+		facts:    &facts,
+		cfg:      &cfg,
+		a:        a,
 	}
 	// Relative-magnitude floor (opt-in, MinRelMagnitude > 0): a mean shift
 	// smaller than a fixed fraction of the metric's normal operating level
@@ -492,36 +486,11 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 	// such shifts otherwise pollute every propagation chain.
 	relFloor := 0.0
 	if cfg.MinRelMagnitude > 0 {
-		level := meanAbs(cvSeries.ValuesView())
+		level := meanAbs(cal.cv)
 		if level == 0 {
 			level = meanAbs(smoothed)
 		}
 		relFloor = cfg.MinRelMagnitude * level
-	}
-	// Range escape: how long has the metric been dwelling beyond the levels
-	// it historically visited only 1% of the time?
-	dwellHigh, dwellLow := 0, 0
-	for i := len(smoothed) - 1; i >= 0 && smoothed[i] > ctxP99; i-- {
-		dwellHigh++
-	}
-	for i := len(smoothed) - 1; i >= 0 && smoothed[i] < ctxP1; i-- {
-		dwellLow++
-	}
-	ctxSeries := se.ViewRange(se.Start(), lookbackStart)
-	if ctx := ctxSeries.ValuesView(); len(ctx) >= 8 {
-		if facts.fast {
-			contextFloor = cfg.SelfCalibration * facts.p90
-			if f := cfg.ContextMaxFactor * facts.maxE; f > contextFloor {
-				contextFloor = f
-			}
-		} else if p90, hi, err := timeseries.PercentileMaxScratch(ctx, 90, &a.pctile); err == nil {
-			// Prediction errors are finite, so the sort-order maximum is
-			// the one a MinMax scan reports.
-			contextFloor = cfg.SelfCalibration * p90
-			if f := cfg.ContextMaxFactor * hi; f > contextFloor {
-				contextFloor = f
-			}
-		}
 	}
 
 	flt := -1
@@ -546,11 +515,16 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 			continue // below the relative-magnitude floor
 		}
 		pe := predictionErrorNear(&errsSeries, p.Index)
-		var exp, fftExp float64
+		var (
+			exp                          float64
+			predictable, bypass, escaped bool
+		)
 		if cfg.FixedThreshold > 0 {
 			// Fixed-Filtering baseline: one absolute threshold for every
-			// metric, every application (paper §III-A scheme 6).
-			exp, fftExp = cfg.FixedThreshold, cfg.FixedThreshold
+			// metric, every application (paper §III-A scheme 6), and *only*
+			// the fixed prediction error comparison — no adaptive paths.
+			exp = cfg.FixedThreshold
+			predictable = pe <= cfg.SelectionMargin*exp
 		} else {
 			e, err := m.expectedErrorCached(k, raw, p.Index, vals.Start(), cfg, a)
 			if err != nil {
@@ -559,32 +533,32 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 				}
 				continue
 			}
-			exp, fftExp = e, e
-			if contextFloor > exp {
-				exp = contextFloor
+			// The expected error is e raised to the context floor, so a
+			// candidate within the margin of e alone is predictable
+			// whatever the floor is.
+			exp = e
+			predictable = pe <= cfg.SelectionMargin*e
+			if !predictable {
+				exp = withFloor(e, cal.errFloor())
+				predictable = pe <= cfg.SelectionMargin*exp
+			}
+			// A predictable candidate is still abnormal when a sustained
+			// mean shift far beyond the burstiness-expected error persists
+			// through the window's end (gradual manifestations: leaks,
+			// queue growth), or when the shift pinned the metric beyond its
+			// historical 1st/99th percentile for far longer than any
+			// workload burst. Transient bursts fail the persistence check —
+			// they have reverted by analysis time.
+			if predictable && shiftPersists(smoothed, p, cfg.PersistFraction) {
+				bypass = p.Magnitude > cfg.MagnitudeFactor*e &&
+					p.Magnitude > cfg.ValueStdFactor*cal.valueStd()
+				escaped = !bypass && cal.escapes(p)
+				if bypass || escaped {
+					exp = withFloor(e, cal.errFloor()) // reported if selected
+				}
 			}
 		}
-		// Abnormal when the per-step prediction error clearly exceeds the
-		// expected error, or when a sustained mean shift far beyond the
-		// burstiness-expected error persists through the window's end
-		// (gradual manifestations: leaks, queue growth). Transient bursts
-		// fail the persistence check — they have reverted by analysis
-		// time.
-		persists := shiftPersists(smoothed, p, cfg.PersistFraction)
-		bypass := persists &&
-			p.Magnitude > cfg.MagnitudeFactor*fftExp &&
-			p.Magnitude > cfg.ValueStdFactor*contextValueStd
-		// Range escape: the change pinned the metric beyond its historical
-		// 1st/99th percentile for far longer than any workload burst.
-		escaped := persists &&
-			((dwellHigh >= cfg.EscapeDwell && p.After > ctxP99 && p.Index >= len(smoothed)-dwellHigh-5) ||
-				(dwellLow >= cfg.EscapeDwell && p.After < ctxP1 && p.Index >= len(smoothed)-dwellLow-5))
-		if cfg.FixedThreshold > 0 {
-			// The Fixed-Filtering baseline is *only* the fixed prediction
-			// error comparison — no adaptive paths.
-			bypass, escaped = false, false
-		}
-		if pe <= cfg.SelectionMargin*exp && !bypass && !escaped {
+		if predictable && !bypass && !escaped {
 			if tr != nil {
 				tr.Attr(flt, "cand:"+strconv.FormatInt(t, 10), "predictable")
 			}
@@ -592,7 +566,7 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		}
 		if tr != nil {
 			reason := "pred-err"
-			if pe <= cfg.SelectionMargin*exp {
+			if predictable {
 				if bypass {
 					reason = "bypass"
 				} else {
@@ -664,6 +638,118 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		Magnitude: selected.Magnitude,
 		Direction: dir,
 	}, true
+}
+
+// calibration is one selection task's self-calibration context: the
+// metric's values and prediction errors before the look-back window. A
+// metric whose model already erred badly (inherently hard to predict, or
+// subject to recurring workload bursts) gets a proportionally higher
+// selection bar: an error within the ceiling the model has already
+// exhibited corresponds to fluctuation seen before. Each statistic is
+// computed the first time a candidate's verdict depends on it, from the
+// streaming facts when they are warm (same multiset, same interpolation,
+// same bits) or by selection otherwise, so a task whose candidates are all
+// decided earlier pays for none of it.
+type calibration struct {
+	cv, errs []float64 // context values and context prediction errors
+	smoothed []float64 // the smoothed window, for the dwell counts
+	facts    *streamFacts
+	cfg      *Config
+	a        *arena
+
+	stdDone bool
+	std     float64 // σ of the context values (0 without context)
+
+	bandDone            bool
+	p99, p1             float64 // context value band (±Inf without context)
+	dwellHigh, dwellLow int     // trailing samples above p99 / below p1
+
+	floorDone bool
+	floor     float64 // prediction-error floor (0 without context)
+}
+
+// valueStd returns the population σ of the context values.
+func (c *calibration) valueStd() float64 {
+	if !c.stdDone {
+		c.stdDone = true
+		if len(c.cv) >= minContext {
+			c.std = timeseries.Std(c.cv)
+		}
+	}
+	return c.std
+}
+
+// escapes reports whether change point p pinned the metric beyond its
+// historical 1st/99th percentile: the smoothed window has dwelt past the
+// band for at least EscapeDwell samples up to its end, the point's level
+// lies past the band, and the point sits within that dwell.
+func (c *calibration) escapes(p changepoint.Point) bool {
+	if !c.bandDone {
+		c.bandDone = true
+		c.p99, c.p1 = math.Inf(1), math.Inf(-1)
+		if len(c.cv) >= minContext {
+			if c.facts.fast {
+				c.p99, c.p1 = c.facts.p99, c.facts.p1
+			} else if p1, p99, err := timeseries.PercentileBandScratch(c.cv, 1, 99, &c.a.pctile); err == nil {
+				c.p99, c.p1 = p99, p1
+			}
+		}
+		for i := len(c.smoothed) - 1; i >= 0 && c.smoothed[i] > c.p99; i-- {
+			c.dwellHigh++
+		}
+		for i := len(c.smoothed) - 1; i >= 0 && c.smoothed[i] < c.p1; i-- {
+			c.dwellLow++
+		}
+	}
+	n, dwell := len(c.smoothed), c.cfg.EscapeDwell
+	return (c.dwellHigh >= dwell && p.After > c.p99 && p.Index >= n-c.dwellHigh-5) ||
+		(c.dwellLow >= dwell && p.After < c.p1 && p.Index >= n-c.dwellLow-5)
+}
+
+// errFloor returns the context prediction-error floor: SelfCalibration ×
+// the p90 context error, or ContextMaxFactor × the largest one if higher.
+func (c *calibration) errFloor() float64 {
+	if c.floorDone {
+		return c.floor
+	}
+	c.floorDone = true
+	if len(c.errs) < minContext {
+		return c.floor
+	}
+	var p90, hi float64
+	if c.facts.fast {
+		p90, hi = c.facts.p90, c.facts.maxE
+	} else if v, max, err := timeseries.PercentileMaxScratch(c.errs, 90, &c.a.pctile); err == nil {
+		// Prediction errors are finite, so the sort-order maximum is the
+		// one a MinMax scan reports.
+		p90, hi = v, max
+	} else {
+		return c.floor
+	}
+	c.floor = c.cfg.SelfCalibration * p90
+	if f := c.cfg.ContextMaxFactor * hi; f > c.floor {
+		c.floor = f
+	}
+	return c.floor
+}
+
+// withFloor raises the FFT-expected error e to the context floor.
+func withFloor(e, floor float64) float64 {
+	if floor > e {
+		return floor
+	}
+	return e
+}
+
+// warmTables starts the background build of the threshold tables this
+// configuration's detections read, so the first verdict does not build
+// them: the full tier's window at Bootstraps resamples and the reduced
+// tier's shorter window at its lighter count. Each is built once per
+// process (changepoint.WarmTables).
+func warmTables(cfg Config) {
+	changepoint.WarmTables(cfg.LookBack+cfg.BurstWindow, cfg.Bootstraps)
+	r := reducedCfg(cfg)
+	changepoint.WarmTables(r.LookBack+r.BurstWindow, r.Bootstraps)
 }
 
 // adaptiveSmoothWidth picks a smoothing width from the metric's noise

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"fchain/internal/metric"
+	"fchain/internal/obs"
 	"fchain/internal/timeseries"
 )
 
@@ -374,5 +377,182 @@ func TestAdaptiveSmoothingSelectionStillWorks(t *testing.T) {
 	report := m.Analyze(899)
 	if !report.Abnormal() {
 		t.Fatal("step not detected with adaptive smoothing")
+	}
+}
+
+// filterTrace runs one traced analysis of a CPU series and returns the
+// report with the filter span's per-candidate verdicts ("cand:<t>" →
+// reason), checking on the way that the untraced kernel agrees.
+func filterTrace(t *testing.T, cfg Config, vals []float64) (ComponentReport, map[string]string) {
+	t.Helper()
+	m := NewMonitor("c", cfg)
+	feedSeries(t, m, metric.CPU, vals)
+	tv := int64(len(vals) - 1)
+	tr := obs.NewTrace("select", tv)
+	a := getArena()
+	report := m.analyzeArena(tv, m.cfg, a, nil, tr, -1)
+	putArena(a)
+	if plain := m.Analyze(tv); !reflect.DeepEqual(plain, report) {
+		t.Fatalf("traced report %+v, untraced %+v", report, plain)
+	}
+	reasons := map[string]string{}
+	for _, sp := range tr.FindAll("filter") {
+		for _, at := range sp.Attrs {
+			if strings.HasPrefix(at.Key, "cand:") {
+				reasons[at.Key] = at.Val
+			}
+		}
+	}
+	return report, reasons
+}
+
+// TestSelectionFilterBranches drives one window into each branch of the
+// candidate filter under the mesh profile (fchain.MeshConfig: ExternalSpread
+// 12, MinRelMagnitude 0.12) and pins the outcome to the values the eager
+// kernel produced, so computing the context statistics on demand cannot
+// change a verdict. Where a branch is decided by the context floor, the
+// same window with the floor disabled shows the other outcome.
+func TestSelectionFilterBranches(t *testing.T) {
+	mesh := DefaultConfig()
+	mesh.ExternalSpread = 12
+	mesh.MinRelMagnitude = 0.12
+	const n, tv = 1800, 1799
+	series := func(seed int64, f func(i int, rng *rand.Rand) float64) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = f(i, rng)
+		}
+		return vals
+	}
+	// Context spikes leave large prediction errors behind: the floor's
+	// max term lifts the bar over a later transient bump.
+	spiky := series(3, func(i int, rng *rand.Rand) float64 {
+		v := 50 + rng.NormFloat64()
+		if i < tv-200 && i%97 == 0 {
+			v += 40
+		}
+		if i >= tv-60 && i < tv-45 {
+			v += 12
+		}
+		return v
+	})
+	cases := []struct {
+		name    string
+		vals    []float64
+		fixed   float64
+		cand    string // the candidate whose verdict names the branch
+		reason  string
+		noFloor string // its verdict with the context floor disabled ("" = not checked)
+		want    []AbnormalChange
+	}{
+		{
+			name: "sub-floor",
+			vals: series(1, func(i int, rng *rand.Rand) float64 {
+				v := 100 + 0.3*rng.NormFloat64()
+				if i >= tv-50 {
+					v += 6 // 6% of the level, under the 12% floor
+				}
+				return v
+			}),
+			cand: "cand:1749", reason: "sub-floor",
+		},
+		{
+			// A noisy transient hill: the prediction error stays within
+			// the burstiness the FFT expects, floor or no floor.
+			name: "predictable-fft",
+			vals: series(7, func(i int, rng *rand.Rand) float64 {
+				v := 50 + 3*rng.NormFloat64()
+				if d := i - (tv - 90); d >= 0 && d < 40 {
+					v += 15 * float64(d) / 40
+				} else if d >= 40 && d < 80 {
+					v += 15 * float64(80-d) / 40
+				}
+				return v
+			}),
+			cand: "cand:1771", reason: "predictable", noFloor: "predictable",
+		},
+		{
+			name: "predictable-context-max",
+			vals: spiky,
+			cand: "cand:1755", reason: "predictable", noFloor: "pred-err",
+		},
+		{
+			// Coin-flip context: the model errs by about the same amount
+			// every step, so the floor's p90 term exceeds its max term and
+			// decides the bump.
+			name: "predictable-context-p90",
+			vals: series(4, func(i int, rng *rand.Rand) float64 {
+				v := 60 + 0.5*rng.NormFloat64()
+				if i < tv-100 {
+					v = 50 + 20*float64(rng.Intn(2))
+				}
+				if i >= tv-60 && i < tv-45 {
+					v += 22
+				}
+				return v
+			}),
+			cand: "cand:1755", reason: "predictable", noFloor: "pred-err",
+		},
+		{
+			// A gradual leak: small per-step errors, a large persistent
+			// shift.
+			name: "bypass",
+			vals: series(5, func(i int, rng *rand.Rand) float64 {
+				v := 50 + 0.5*rng.NormFloat64()
+				if d := float64(i - (tv - 80)); d > 40 {
+					v += 40
+				} else if d >= 0 {
+					v += d
+				}
+				return v
+			}),
+			cand: "cand:1740", reason: "bypass",
+			want: []AbnormalChange{{Component: "c", Metric: metric.CPU, ChangeAt: 1740, Onset: 1724,
+				PredErr: 1.9983951582721886, Expected: 2.5026682131888847, Magnitude: 33.23075842060306, Direction: timeseries.TrendUp}},
+		},
+		{
+			// A shift within the context's spread that still leaves its
+			// historical 1st–99th percentile band and stays out.
+			name: "range-escape",
+			vals: series(6, func(i int, rng *rand.Rand) float64 {
+				v := 30 + 40*rng.Float64()
+				if i >= tv-140 {
+					v = 65 + 0.5*rng.NormFloat64()
+				}
+				if i >= tv-40 {
+					v = 72 + 0.5*rng.NormFloat64()
+				}
+				return v
+			}),
+			cand: "cand:1758", reason: "escaped",
+			want: []AbnormalChange{{Component: "c", Metric: metric.CPU, ChangeAt: 1758, Onset: 1759,
+				PredErr: 11.230984844809633, Expected: 35.73732219999707, Magnitude: 6.823700071972397, Direction: timeseries.TrendUp}},
+		},
+		{
+			name: "fixed-threshold", vals: spiky, fixed: 5,
+			cand: "cand:1755", reason: "pred-err",
+			want: []AbnormalChange{{Component: "c", Metric: metric.CPU, ChangeAt: 1755, Onset: 1754,
+				PredErr: 12.689532780006559, Expected: 5, Magnitude: 9.804723219946474, Direction: timeseries.TrendDown}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := mesh
+			cfg.FixedThreshold = tc.fixed
+			report, reasons := filterTrace(t, cfg, tc.vals)
+			if got := reasons[tc.cand]; got != tc.reason {
+				t.Errorf("%s: %q, want %q (all: %v)", tc.cand, got, tc.reason, reasons)
+			}
+			if !reflect.DeepEqual(report.Changes, tc.want) {
+				t.Errorf("changes %+v\nwant %+v", report.Changes, tc.want)
+			}
+			if tc.noFloor != "" {
+				cfg.SelfCalibration, cfg.ContextMaxFactor = 1e-12, 1e-12
+				if _, reasons := filterTrace(t, cfg, tc.vals); reasons[tc.cand] != tc.noFloor {
+					t.Errorf("without the context floor %s: %q, want %q", tc.cand, reasons[tc.cand], tc.noFloor)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"fchain/internal/metric"
@@ -129,11 +130,16 @@ func TestAnalyzeMonitorsTracedMatchesUntraced(t *testing.T) {
 	if len(plain) != len(traced) {
 		t.Fatalf("report counts differ: %d vs %d", len(plain), len(traced))
 	}
+	abnormal := 0
 	for i := range plain {
 		if plain[i].Component != traced[i].Component || plain[i].Onset != traced[i].Onset ||
-			len(plain[i].Changes) != len(traced[i].Changes) {
+			!reflect.DeepEqual(plain[i].Changes, traced[i].Changes) {
 			t.Errorf("report %d differs: %+v vs %+v", i, plain[i], traced[i])
 		}
+		abnormal += len(plain[i].Changes)
+	}
+	if abnormal == 0 {
+		t.Fatal("no abnormal changes: the comparison would be vacuous")
 	}
 	if tr == nil || tr.Find("analyze") == nil {
 		t.Fatalf("traced analyze missing root span: %s", tr)
